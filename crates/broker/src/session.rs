@@ -244,6 +244,9 @@ pub struct SessionRegistry {
     waiting: BTreeSet<SessionId>,
     /// Session counts per lifecycle state.
     counts: StateCounts,
+    /// Sessions that entered `Closed` since the last reap, so reaping
+    /// touches only them rather than every live session.
+    closed: Vec<SessionId>,
 }
 
 impl SessionRegistry {
@@ -360,6 +363,9 @@ impl SessionRegistry {
             let slot = self.counts.slot(before.0);
             *slot = slot.saturating_sub(1);
             *self.counts.slot(after.0) += 1;
+            if after.0 == SessionState::Closed {
+                self.closed.push(id);
+            }
         }
     }
 
@@ -392,9 +398,12 @@ impl SessionRegistry {
     /// arrivals — the difference between megabytes and gigabytes over a
     /// million-user day.
     pub fn reap_closed(&mut self) -> usize {
-        let before = self.sessions.len();
-        self.sessions.retain(|_, s| s.state() != SessionState::Closed);
-        let reaped = before - self.sessions.len();
+        let mut reaped = 0;
+        for id in self.closed.drain(..) {
+            if self.sessions.remove(&id).is_some() {
+                reaped += 1;
+            }
+        }
         self.counts.closed = 0;
         reaped
     }
@@ -403,6 +412,53 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Sessions in `state`, counted by walking the registry.
+    fn recount(reg: &SessionRegistry, state: SessionState) -> usize {
+        reg.iter().filter(|s| s.state() == state).count()
+    }
+
+    proptest! {
+        #[test]
+        fn reap_removes_exactly_the_closed_sessions(
+            ops in proptest::collection::vec((0u8..6, 0usize..64, 0u64..4), 1..200),
+        ) {
+            let mut reg = SessionRegistry::new();
+            let mut opened = Vec::new();
+            for (step, (kind, pick, instance)) in ops.into_iter().enumerate() {
+                let now = SimTime::from_secs(step as u64);
+                let target = opened.get(pick % opened.len().max(1)).copied();
+                match (kind, target) {
+                    (0, _) | (_, None) => opened.push(reg.open("u", "topmodel", now)),
+                    (1, Some(id)) => {
+                        reg.assign(id, InstanceId::from_raw(instance), now, instance % 2 == 0);
+                    }
+                    (2, Some(id)) => {
+                        reg.unbind(id, now);
+                    }
+                    (3 | 4, Some(id)) => {
+                        reg.close(id);
+                    }
+                    (_, Some(_)) => {
+                        // What a `retain` over every session would reap and keep.
+                        let (closed, live): (Vec<_>, Vec<_>) =
+                            reg.iter().partition(|s| s.state() == SessionState::Closed);
+                        let ids = |v: Vec<&UserSession>| -> Vec<SessionId> {
+                            v.into_iter().map(UserSession::id).collect()
+                        };
+                        let (closed, live) = (ids(closed), ids(live));
+                        prop_assert_eq!(reg.reap_closed(), closed.len());
+                        prop_assert_eq!(reg.iter().map(UserSession::id).collect::<Vec<_>>(), live);
+                        prop_assert!(closed.iter().all(|&id| reg.get(id).is_none()));
+                    }
+                }
+                for state in [SessionState::Waiting, SessionState::Active, SessionState::Closed] {
+                    prop_assert_eq!(reg.count(state), recount(&reg, state));
+                }
+            }
+        }
+    }
 
     #[test]
     fn open_assign_close_lifecycle() {

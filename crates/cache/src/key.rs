@@ -9,7 +9,7 @@
 //! stamp means a sensor update silently orphans every stale entry — the
 //! cache never has to *find* them to stop serving them.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use serde_json::Value;
 
@@ -20,17 +20,27 @@ pub struct CacheKey {
     catchment: String,
     data_version: u64,
     inputs: String,
+    /// FNV-1a of the canonical rendering, computed once in
+    /// [`CacheKey::new`]. It is a function of the four fields above and
+    /// comes last, so the derived order and equality are theirs.
+    fingerprint: u64,
 }
 
 impl CacheKey {
     /// Builds a key from the raw parts; `inputs` is canonicalised.
     pub fn new(process: &str, catchment: &str, data_version: u64, inputs: &Value) -> CacheKey {
-        CacheKey {
+        let mut key = CacheKey {
             process: process.to_owned(),
             catchment: catchment.to_owned(),
             data_version,
             inputs: canonical_json(inputs),
-        }
+            fingerprint: 0,
+        };
+        // Hash the rendering as it streams out, without building it.
+        let mut hasher = Fnv1a(FNV_OFFSET);
+        let _ = write!(hasher, "{key}");
+        key.fingerprint = hasher.0;
+        key
     }
 
     /// The WPS process identifier.
@@ -55,13 +65,13 @@ impl CacheKey {
 
     /// The canonical rendering — what gets hashed, logged and compared.
     pub fn render(&self) -> String {
-        format!("{}|{}|v{}|{}", self.process, self.catchment, self.data_version, self.inputs)
+        self.to_string()
     }
 
     /// FNV-1a fingerprint of the canonical rendering: the coalescer's map
     /// key and the basis of the L2 blob key.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.render().as_bytes())
+        self.fingerprint
     }
 
     /// The L2 blob key: content-addressed by the key fingerprint, so a
@@ -73,7 +83,7 @@ impl CacheKey {
 
 impl fmt::Display for CacheKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        write!(f, "{}|{}|v{}|{}", self.process, self.catchment, self.data_version, self.inputs)
     }
 }
 
@@ -132,14 +142,32 @@ fn render_scalar(value: &Value, out: &mut String) {
 /// [`evop_xcloud::Blob::content_hash`] uses, so key fingerprints and blob
 /// integrity checks share one well-known function.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
+    let mut hasher = Fnv1a(FNV_OFFSET);
+    hasher.extend(bytes);
+    hasher.0
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Running FNV-1a state; as a [`fmt::Write`] sink it hashes formatted
+/// output without allocating it.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn extend(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
     }
-    hash
+}
+
+impl Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.extend(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]

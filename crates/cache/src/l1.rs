@@ -2,9 +2,12 @@
 //!
 //! Entries live in a `BTreeMap` keyed by [`CacheKey`] (deterministic
 //! iteration, no hash-order nondeterminism) with recency tracked by a
-//! monotone logical tick — not wallclock, not insertion order. Expiry is
-//! judged against the caller-supplied [`SimTime`], so the store composes
-//! with the simulation the same way the chaos plane's blob wrapper does:
+//! monotone logical tick — not wallclock, not insertion order. A second
+//! `BTreeMap` indexes every entry's key by its (unique) last-touch tick,
+//! so the least recently used entry is the index's first and eviction
+//! is O(log n) rather than a scan of the whole store. Expiry is judged
+//! against the caller-supplied [`SimTime`], so the store composes with
+//! the simulation the same way the chaos plane's blob wrapper does:
 //! time is an argument, never an ambient global.
 //! Admission policy deliberately lives *outside* this type — the
 //! store evicts whoever it is told to make room for; the sketch decides
@@ -31,13 +34,22 @@ pub struct LruTtlStore {
     ttl: SimDuration,
     tick: u64,
     entries: BTreeMap<CacheKey, Entry>,
+    /// The recency index: each entry's key under its `last_touch` tick,
+    /// oldest first. Exactly one index entry per stored entry.
+    recency: BTreeMap<u64, CacheKey>,
 }
 
 impl LruTtlStore {
     /// A store holding at most `capacity` entries (minimum 1), each fresh
     /// for `ttl` of virtual time after insertion.
     pub fn new(capacity: usize, ttl: SimDuration) -> LruTtlStore {
-        LruTtlStore { capacity: capacity.max(1), ttl, tick: 0, entries: BTreeMap::new() }
+        LruTtlStore {
+            capacity: capacity.max(1),
+            ttl,
+            tick: 0,
+            entries: BTreeMap::new(),
+            recency: BTreeMap::new(),
+        }
     }
 
     /// Entries currently held (fresh or not-yet-collected expired).
@@ -58,20 +70,16 @@ impl LruTtlStore {
     /// Fetches a fresh entry, bumping its recency; an expired entry is
     /// removed and reported as a miss. Returns the value and its age.
     pub fn get(&mut self, now: SimTime, key: &CacheKey) -> Option<(Value, SimDuration)> {
-        let expired = match self.entries.get(key) {
-            Some(entry) => is_expired(entry.stored_at, self.ttl, now),
-            None => return None,
-        };
-        if expired {
-            self.entries.remove(key);
+        let entry = self.entries.get(key)?;
+        if is_expired(entry.stored_at, self.ttl, now) {
+            self.remove(key);
             return None;
         }
         self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|entry| {
-            entry.last_touch = tick;
-            (entry.value.clone(), now.saturating_since(entry.stored_at))
-        })
+        let entry = self.entries.get_mut(key)?;
+        let last_touch = std::mem::replace(&mut entry.last_touch, self.tick);
+        retick(&mut self.recency, last_touch, self.tick);
+        Some((entry.value.clone(), now.saturating_since(entry.stored_at)))
     }
 
     /// `true` when `key` is present and fresh at `now` (no recency bump).
@@ -87,48 +95,75 @@ impl LruTtlStore {
         self.tick += 1;
         let entry = Entry { value, stored_at: now, last_touch: self.tick };
         if let Some(existing) = self.entries.get_mut(&key) {
-            *existing = entry;
+            let last_touch = std::mem::replace(existing, entry).last_touch;
+            retick(&mut self.recency, last_touch, self.tick);
             return None;
         }
-        let evicted = if self.entries.len() >= self.capacity { self.lru_key() } else { None };
-        if let Some(victim) = &evicted {
-            self.entries.remove(victim);
-        }
+        let evicted = if self.entries.len() >= self.capacity {
+            self.recency.pop_first().map(|(_, victim)| {
+                self.entries.remove(&victim);
+                victim
+            })
+        } else {
+            None
+        };
+        self.recency.insert(self.tick, key.clone());
         self.entries.insert(key, entry);
         evicted
     }
 
     /// The current least-recently-used key — the admission gate's victim
     /// candidate. Ties are impossible: every touch gets a unique tick.
-    pub fn lru_key(&self) -> Option<CacheKey> {
-        self.entries.iter().min_by_key(|(_, e)| e.last_touch).map(|(k, _)| k.clone())
+    pub fn lru_key(&self) -> Option<&CacheKey> {
+        self.recency.first_key_value().map(|(_, key)| key)
     }
 
     /// Removes one entry.
     pub fn remove(&mut self, key: &CacheKey) -> bool {
-        self.entries.remove(key).is_some()
+        let Some(entry) = self.entries.remove(key) else { return false };
+        self.recency.remove(&entry.last_touch);
+        true
     }
 
     /// Drops every entry that has expired by `now`, returning the count.
     pub fn purge_expired(&mut self, now: SimTime) -> usize {
-        let before = self.entries.len();
         let ttl = self.ttl;
-        self.entries.retain(|_, e| !is_expired(e.stored_at, ttl, now));
-        before - self.entries.len()
+        self.drop_where(|_, e| is_expired(e.stored_at, ttl, now))
     }
 
     /// Drops every entry whose key carries a data version other than
     /// `current` — the catalogue-update invalidation sweep. Returns the
     /// count dropped.
     pub fn retain_version(&mut self, current: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|k, _| k.data_version() == current);
-        before - self.entries.len()
+        self.drop_where(|k, _| k.data_version() != current)
     }
 
     /// Iterates stored keys in key order.
     pub fn keys(&self) -> impl Iterator<Item = &CacheKey> {
         self.entries.keys()
+    }
+
+    /// Drops every entry `doomed` selects, keeping the recency index
+    /// exact. Returns the count dropped.
+    fn drop_where(&mut self, mut doomed: impl FnMut(&CacheKey, &Entry) -> bool) -> usize {
+        let before = self.entries.len();
+        let recency = &mut self.recency;
+        self.entries.retain(|k, e| {
+            let drop = doomed(k, e);
+            if drop {
+                recency.remove(&e.last_touch);
+            }
+            !drop
+        });
+        before - self.entries.len()
+    }
+}
+
+/// Moves the key indexed under tick `from` to tick `to`, without
+/// cloning it.
+fn retick(recency: &mut BTreeMap<u64, CacheKey>, from: u64, to: u64) {
+    if let Some(key) = recency.remove(&from) {
+        recency.insert(to, key);
     }
 }
 

@@ -10,11 +10,19 @@
 //! 3. admission decisions are a pure function of (seed, operation
 //!    sequence): two caches built with the same seed and fed the same
 //!    sequence produce byte-identical decision vectors.
+//!
+//! Two more pin the L1 store's indexes to simple references: its
+//! recency-indexed eviction against a naive min-scan store, and a key's
+//! stored fingerprint against a hash of its rendering.
 
+use std::collections::BTreeMap;
+
+use evop_cache::key::fnv1a;
+use evop_cache::l1::LruTtlStore;
 use evop_cache::{CacheConfig, CacheKey, CachePolicy, ResultCache};
 use evop_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
-use serde_json::json;
+use serde_json::{json, Value};
 
 fn key(n: u64) -> CacheKey {
     CacheKey::new("topmodel", "eden", 1, &json!({ "n": n }))
@@ -55,7 +63,139 @@ fn run_workload(
     (cache, decisions)
 }
 
+/// The L1 store with no recency index: each entry keeps its last-touch
+/// tick, and the LRU victim is found by scanning every entry.
+struct NaiveLru {
+    capacity: usize,
+    ttl: SimDuration,
+    tick: u64,
+    /// key -> (value, stored_at, last_touch)
+    entries: BTreeMap<CacheKey, (Value, SimTime, u64)>,
+}
+
+impl NaiveLru {
+    fn new(capacity: usize, ttl: SimDuration) -> NaiveLru {
+        NaiveLru { capacity: capacity.max(1), ttl, tick: 0, entries: BTreeMap::new() }
+    }
+
+    fn lru_key(&self) -> Option<&CacheKey> {
+        self.entries.iter().min_by_key(|(_, e)| e.2).map(|(k, _)| k)
+    }
+
+    fn get(&mut self, now: SimTime, key: &CacheKey) -> Option<(Value, SimDuration)> {
+        let stored_at = self.entries.get(key)?.1;
+        if expired(stored_at, self.ttl, now) {
+            self.entries.remove(key);
+            return None;
+        }
+        self.tick += 1;
+        let entry = self.entries.get_mut(key)?;
+        entry.2 = self.tick;
+        Some((entry.0.clone(), now.saturating_since(stored_at)))
+    }
+
+    fn insert(&mut self, now: SimTime, key: CacheKey, value: Value) -> Option<CacheKey> {
+        self.tick += 1;
+        if let Some(entry) = self.entries.get_mut(&key) {
+            *entry = (value, now, self.tick);
+            return None;
+        }
+        let evicted =
+            if self.entries.len() >= self.capacity { self.lru_key().cloned() } else { None };
+        if let Some(victim) = &evicted {
+            self.entries.remove(victim);
+        }
+        self.entries.insert(key, (value, now, self.tick));
+        evicted
+    }
+
+    fn purge_expired(&mut self, now: SimTime) -> usize {
+        let before = self.entries.len();
+        let ttl = self.ttl;
+        self.entries.retain(|_, e| !expired(e.1, ttl, now));
+        before - self.entries.len()
+    }
+
+    fn retain_version(&mut self, current: u64) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|k, _| k.data_version() == current);
+        before - self.entries.len()
+    }
+}
+
+fn expired(stored_at: SimTime, ttl: SimDuration, now: SimTime) -> bool {
+    stored_at.checked_add(ttl).is_some_and(|deadline| now >= deadline)
+}
+
+fn versioned_key(n: u64, version: u64) -> CacheKey {
+    CacheKey::new("topmodel", "eden", version, &json!({ "n": n }))
+}
+
+/// One store operation: (kind, key, data version, seconds to advance).
+fn store_ops() -> impl Strategy<Value = Vec<(u8, u64, u64, u64)>> {
+    proptest::collection::vec((0u8..8, 0u64..12, 1u64..4, 0u64..40), 1..300)
+}
+
 proptest! {
+    // ----------------------------------------------------------------
+    // The recency index evicts exactly what a full scan would
+    // ----------------------------------------------------------------
+
+    #[test]
+    fn l1_matches_naive_min_scan_store(
+        capacity in 1usize..10,
+        ttl_secs in 1u64..400,
+        ops in store_ops(),
+    ) {
+        let ttl = SimDuration::from_secs(ttl_secs);
+        let mut store = LruTtlStore::new(capacity, ttl);
+        let mut naive = NaiveLru::new(capacity, ttl);
+        let mut now = SimTime::ZERO;
+        for (step, &(kind, n, version, advance)) in ops.iter().enumerate() {
+            now += SimDuration::from_secs(advance);
+            let key = versioned_key(n, version);
+            match kind {
+                // Gets and inserts dominate, as in serving.
+                0..=2 => prop_assert_eq!(store.get(now, &key), naive.get(now, &key)),
+                3..=5 => {
+                    let value = json!({ "step": step });
+                    prop_assert_eq!(
+                        store.insert(now, key.clone(), value.clone()),
+                        naive.insert(now, key, value),
+                    );
+                }
+                6 => {
+                    let removed = naive.entries.remove(&key).is_some();
+                    prop_assert_eq!(store.remove(&key), removed);
+                }
+                _ if n % 2 == 0 => {
+                    prop_assert_eq!(store.purge_expired(now), naive.purge_expired(now));
+                }
+                _ => prop_assert_eq!(store.retain_version(version), naive.retain_version(version)),
+            }
+            prop_assert_eq!(store.lru_key(), naive.lru_key());
+            prop_assert_eq!(store.len(), naive.entries.len());
+            prop_assert!(store.keys().eq(naive.entries.keys()));
+        }
+    }
+
+    // ----------------------------------------------------------------
+    // The stored fingerprint is the hash of the rendering
+    // ----------------------------------------------------------------
+
+    #[test]
+    fn fingerprint_is_fnv1a_of_the_rendering(
+        process in "[a-z]{1,12}",
+        catchment in "[a-z |]{0,12}",
+        version in 0u64..u64::MAX,
+        (n, text) in (0u64..u64::MAX, "[ -~]{0,24}"),
+    ) {
+        let key = CacheKey::new(&process, &catchment, version, &json!({ "n": n, "s": text }));
+        prop_assert_eq!(key.fingerprint(), fnv1a(key.render().as_bytes()));
+        prop_assert_eq!(key.blob_key(), format!("res-{:016x}", fnv1a(key.render().as_bytes())));
+        prop_assert_eq!(key.to_string(), key.render());
+    }
+
     // ----------------------------------------------------------------
     // Capacity bound
     // ----------------------------------------------------------------

@@ -249,12 +249,18 @@ impl Instance {
         &self.jobs
     }
 
-    /// A job by id, if it was submitted to this instance. Searched from
-    /// the most recent backwards: pollers almost always ask about a job
-    /// submitted moments ago, and a long-lived instance accumulates its
-    /// whole job history.
+    /// A job by id, if it was submitted to this instance. A binary
+    /// search, since a long-lived instance accumulates its whole job
+    /// history in ascending id order.
     pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.jobs.iter().rev().find(|j| j.id == id)
+        self.jobs.get(self.job_index(id)?)
+    }
+
+    /// Where job `id` sits in `jobs`. The simulator draws every id from
+    /// one ascending counter and jobs are only ever appended, so `jobs`
+    /// is sorted by id even when the ids interleave across instances.
+    fn job_index(&self, id: JobId) -> Option<usize> {
+        self.jobs.binary_search_by_key(&id, |j| j.id).ok()
     }
 
     /// Number of jobs currently executing.
@@ -306,7 +312,7 @@ impl Instance {
     /// Completes a running job (if it is still the one we scheduled), then
     /// starts any queued jobs that now fit.
     pub(crate) fn complete(&mut self, id: JobId, now: SimTime) -> Vec<(JobId, SimTime)> {
-        let Some(idx) = self.jobs.iter().position(|j| j.id == id) else {
+        let Some(idx) = self.job_index(id) else {
             return Vec::new();
         };
         let running = self.is_running();
@@ -495,6 +501,32 @@ mod tests {
         inst.complete(JobId(2), SimTime::from_secs(20));
         assert_eq!(inst.job(JobId(1)).unwrap().latency(), Some(SimDuration::from_secs(10)));
         assert_eq!(inst.job(JobId(2)).unwrap().latency(), Some(SimDuration::from_secs(20)));
+    }
+
+    #[test]
+    fn jobs_interleaved_across_instances_are_found_by_id() {
+        // One global id counter feeds both instances, as in `CloudSim`,
+        // so each instance sees an ascending id sequence with gaps.
+        let mut a = instance(1);
+        let mut b = instance(1);
+        for n in 0..8u64 {
+            let inst = if n % 3 == 0 { &mut b } else { &mut a };
+            inst.submit(JobId(n), JobKind::Run, SimDuration::from_secs(10), SimTime::ZERO);
+        }
+        for n in 0..8u64 {
+            let (owner, other) = if n % 3 == 0 { (&b, &a) } else { (&a, &b) };
+            assert_eq!(owner.job(JobId(n)).map(Job::id), Some(JobId(n)));
+            assert!(other.job(JobId(n)).is_none(), "job-{n} belongs to the other instance");
+        }
+        assert!(a.job(JobId(8)).is_none() && b.job(JobId(8)).is_none());
+        // Completion finds the right job and starts the next queued one.
+        let next = a.complete(JobId(1), SimTime::from_secs(10));
+        assert_eq!(next, vec![(JobId(2), SimTime::from_secs(20))]);
+        assert!(matches!(a.job(JobId(1)).map(Job::state), Some(JobState::Completed { .. })));
+        // An id the instance never ran completes nothing.
+        assert!(a.complete(JobId(3), SimTime::from_secs(20)).is_empty());
+        let next = b.complete(JobId(0), SimTime::from_secs(10));
+        assert_eq!(next, vec![(JobId(3), SimTime::from_secs(20))]);
     }
 
     #[test]

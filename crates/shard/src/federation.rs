@@ -861,8 +861,8 @@ impl Federation {
             let finished = self.shards.get(meta.shard.index()).and_then(|slot| {
                 let cloud = slot.broker().cloud();
                 let job = match meta.instance {
-                    // The common path: one instance lookup, one recent-job
-                    // scan — no per-flight sweep of the whole fleet.
+                    // The common path: one instance lookup, one binary
+                    // search of its jobs — no per-flight sweep of the fleet.
                     Some(iid) => cloud.instance(iid).and_then(|i| i.job(meta.job)),
                     None => cloud.instances().find_map(|i| i.job(meta.job)),
                 };

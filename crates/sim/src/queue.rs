@@ -102,11 +102,12 @@ struct Slot<E> {
     event: Option<E>,
 }
 
-/// Slab chunk size in slots (power of two). 4096 keeps each chunk's
-/// allocation well under the allocator's mmap threshold for realistic
-/// payload sizes, so chunks come from the recycled heap instead of fresh
-/// kernel mappings.
-const SLAB_SHIFT: usize = 12;
+/// Slab chunk size in slots (power of two). 1024 keeps each chunk's
+/// allocation under glibc's default 128 KiB mmap threshold for slots
+/// under 128 bytes (the cloud simulator's 32-byte slots make 32 KiB
+/// chunks; a far-horizon `top` chunk of 16-byte items is 16 KiB), so
+/// chunks come from the recycled heap instead of fresh kernel mappings.
+const SLAB_SHIFT: usize = 10;
 const SLAB_CHUNK: usize = 1 << SLAB_SHIFT;
 
 /// Chunked slab: append-only slot storage that never moves existing
