@@ -216,7 +216,7 @@ fn run_coalesced(crowd: usize, seed: u64) -> CoalescedOutcome {
         "inputs": { "hours": 24 },
         "peak_m3s": round4(2.0 + (seed % 7) as f64 * 0.125),
     });
-    cache.insert(broker.now(), key.clone(), &result);
+    cache.insert(broker.now(), key.clone(), |_| result.to_string().into());
 
     // The repeat wave: the same crowd asks again after the burst has
     // passed — every request is an L1 hit, no broker involvement at all.

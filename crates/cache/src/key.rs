@@ -11,7 +11,7 @@
 
 use std::fmt::{self, Write};
 
-use serde_json::Value;
+use serde::Serialize;
 
 /// Identity of one cacheable model result.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -28,12 +28,22 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// Builds a key from the raw parts; `inputs` is canonicalised.
-    pub fn new(process: &str, catchment: &str, data_version: u64, inputs: &Value) -> CacheKey {
+    ///
+    /// The canonical form is the compact JSON writer's output: objects
+    /// are backed by a sorted map, so their keys always render in order.
+    pub fn new(
+        process: &str,
+        catchment: &str,
+        data_version: u64,
+        inputs: &(impl Serialize + ?Sized),
+    ) -> CacheKey {
+        let mut rendered = String::new();
+        inputs.write_json(&mut rendered);
         let mut key = CacheKey {
             process: process.to_owned(),
             catchment: catchment.to_owned(),
             data_version,
-            inputs: canonical_json(inputs),
+            inputs: rendered,
             fingerprint: 0,
         };
         // Hash the rendering as it streams out, without building it.
@@ -84,57 +94,6 @@ impl CacheKey {
 impl fmt::Display for CacheKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}|{}|v{}|{}", self.process, self.catchment, self.data_version, self.inputs)
-    }
-}
-
-/// Renders JSON deterministically: object keys sorted, compact separators.
-///
-/// `serde_json`'s default `Map` already sorts, but canonicalisation is a
-/// correctness property here (two spellings of the same inputs must
-/// collide), so it is enforced structurally rather than assumed from a
-/// feature flag.
-pub fn canonical_json(value: &Value) -> String {
-    let mut out = String::new();
-    write_canonical(value, &mut out);
-    out
-}
-
-fn write_canonical(value: &Value, out: &mut String) {
-    match value {
-        Value::Object(map) => {
-            let mut entries: Vec<(&String, &Value)> = map.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_scalar(&Value::String((*k).clone()), out);
-                out.push(':');
-                write_canonical(v, out);
-            }
-            out.push('}');
-        }
-        Value::Array(items) => {
-            out.push('[');
-            for (i, v) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_canonical(v, out);
-            }
-            out.push(']');
-        }
-        scalar => render_scalar(scalar, out),
-    }
-}
-
-fn render_scalar(value: &Value, out: &mut String) {
-    match serde_json::to_string(value) {
-        Ok(s) => out.push_str(&s),
-        // Scalars cannot fail to serialise; the fallback keeps the
-        // function total without masking object/array structure.
-        Err(_) => out.push_str("null"),
     }
 }
 
@@ -197,9 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn canonical_json_sorts_nested_objects() {
+    fn inputs_render_with_sorted_nested_objects() {
         let v = json!({"z": {"b": 1, "a": [2, {"d": 3, "c": 4}]}, "a": true});
-        assert_eq!(canonical_json(&v), r#"{"a":true,"z":{"a":[2,{"c":4,"d":3}],"b":1}}"#);
+        let key = CacheKey::new("p", "c", 1, &v);
+        assert_eq!(key.inputs_json(), r#"{"a":true,"z":{"a":[2,{"c":4,"d":3}],"b":1}}"#);
     }
 
     #[test]

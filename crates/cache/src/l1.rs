@@ -11,18 +11,19 @@
 //! time is an argument, never an ambient global.
 //! Admission policy deliberately lives *outside* this type — the
 //! store evicts whoever it is told to make room for; the sketch decides
-//! whether making room is worth it.
+//! whether making room is worth it. Each entry is the result's encoded
+//! body: a hit hands out a reference-counted handle to the same bytes.
 
 use std::collections::BTreeMap;
 
+use bytes::Bytes;
 use evop_sim::{SimDuration, SimTime};
-use serde_json::Value;
 
 use crate::key::CacheKey;
 
 #[derive(Debug, Clone)]
 struct Entry {
-    value: Value,
+    body: Bytes,
     stored_at: SimTime,
     last_touch: u64,
 }
@@ -68,8 +69,8 @@ impl LruTtlStore {
     }
 
     /// Fetches a fresh entry, bumping its recency; an expired entry is
-    /// removed and reported as a miss. Returns the value and its age.
-    pub fn get(&mut self, now: SimTime, key: &CacheKey) -> Option<(Value, SimDuration)> {
+    /// removed and reported as a miss. Returns the body and its age.
+    pub fn get(&mut self, now: SimTime, key: &CacheKey) -> Option<(Bytes, SimDuration)> {
         let entry = self.entries.get(key)?;
         if is_expired(entry.stored_at, self.ttl, now) {
             self.remove(key);
@@ -79,7 +80,7 @@ impl LruTtlStore {
         let entry = self.entries.get_mut(key)?;
         let last_touch = std::mem::replace(&mut entry.last_touch, self.tick);
         retick(&mut self.recency, last_touch, self.tick);
-        Some((entry.value.clone(), now.saturating_since(entry.stored_at)))
+        Some((entry.body.clone(), now.saturating_since(entry.stored_at)))
     }
 
     /// `true` when `key` is present and fresh at `now` (no recency bump).
@@ -91,9 +92,9 @@ impl LruTtlStore {
     /// one if the store is full. Returns the evicted key, if any.
     /// Admission control happens before this call — by the time `insert`
     /// runs, the decision to displace the LRU victim has been made.
-    pub fn insert(&mut self, now: SimTime, key: CacheKey, value: Value) -> Option<CacheKey> {
+    pub fn insert(&mut self, now: SimTime, key: CacheKey, body: Bytes) -> Option<CacheKey> {
         self.tick += 1;
-        let entry = Entry { value, stored_at: now, last_touch: self.tick };
+        let entry = Entry { body, stored_at: now, last_touch: self.tick };
         if let Some(existing) = self.entries.get_mut(&key) {
             let last_touch = std::mem::replace(existing, entry).last_touch;
             retick(&mut self.recency, last_touch, self.tick);
@@ -191,16 +192,16 @@ mod tests {
     #[test]
     fn hit_returns_value_and_age() {
         let mut store = LruTtlStore::new(4, SimDuration::from_secs(100));
-        store.insert(t(10), key(1), json!(41));
+        store.insert(t(10), key(1), Bytes::from("41"));
         let (value, age) = store.get(t(30), &key(1)).expect("fresh");
-        assert_eq!(value, json!(41));
+        assert_eq!(value, Bytes::from("41"));
         assert_eq!(age, SimDuration::from_secs(20));
     }
 
     #[test]
     fn entries_expire_at_ttl_boundary() {
         let mut store = LruTtlStore::new(4, SimDuration::from_secs(100));
-        store.insert(t(0), key(1), json!(1));
+        store.insert(t(0), key(1), Bytes::from("1"));
         assert!(store.get(t(99), &key(1)).is_some());
         assert!(store.get(t(100), &key(1)).is_none(), "expiry is inclusive at the deadline");
         assert!(store.is_empty(), "expired entries are collected on access");
@@ -209,11 +210,11 @@ mod tests {
     #[test]
     fn eviction_picks_least_recently_used() {
         let mut store = LruTtlStore::new(2, SimDuration::from_secs(1000));
-        store.insert(t(0), key(1), json!(1));
-        store.insert(t(1), key(2), json!(2));
+        store.insert(t(0), key(1), Bytes::from("1"));
+        store.insert(t(1), key(2), Bytes::from("2"));
         // Touch 1 so 2 becomes LRU.
         assert!(store.get(t(2), &key(1)).is_some());
-        let evicted = store.insert(t(3), key(3), json!(3));
+        let evicted = store.insert(t(3), key(3), Bytes::from("3"));
         assert_eq!(evicted, Some(key(2)));
         assert!(store.contains_fresh(t(3), &key(1)));
         assert!(store.contains_fresh(t(3), &key(3)));
@@ -222,19 +223,19 @@ mod tests {
     #[test]
     fn refresh_does_not_evict() {
         let mut store = LruTtlStore::new(2, SimDuration::from_secs(1000));
-        store.insert(t(0), key(1), json!(1));
-        store.insert(t(1), key(2), json!(2));
-        assert_eq!(store.insert(t(2), key(1), json!(10)), None);
+        store.insert(t(0), key(1), Bytes::from("1"));
+        store.insert(t(1), key(2), Bytes::from("2"));
+        assert_eq!(store.insert(t(2), key(1), Bytes::from("10")), None);
         assert_eq!(store.len(), 2);
         let (value, _) = store.get(t(3), &key(1)).expect("refreshed");
-        assert_eq!(value, json!(10));
+        assert_eq!(value, Bytes::from("10"));
     }
 
     #[test]
     fn retain_version_sweeps_stale_generations() {
         let mut store = LruTtlStore::new(8, SimDuration::from_secs(1000));
-        store.insert(t(0), CacheKey::new("p", "c", 1, &json!({})), json!(1));
-        store.insert(t(0), CacheKey::new("p", "c", 2, &json!({})), json!(2));
+        store.insert(t(0), CacheKey::new("p", "c", 1, &json!({})), Bytes::from("1"));
+        store.insert(t(0), CacheKey::new("p", "c", 2, &json!({})), Bytes::from("2"));
         assert_eq!(store.retain_version(2), 1);
         assert_eq!(store.len(), 1);
     }
@@ -242,8 +243,8 @@ mod tests {
     #[test]
     fn purge_expired_collects_in_bulk() {
         let mut store = LruTtlStore::new(8, SimDuration::from_secs(10));
-        store.insert(t(0), key(1), json!(1));
-        store.insert(t(5), key(2), json!(2));
+        store.insert(t(0), key(1), Bytes::from("1"));
+        store.insert(t(5), key(2), Bytes::from("2"));
         assert_eq!(store.purge_expired(t(12)), 1);
         assert_eq!(store.len(), 1);
     }

@@ -12,7 +12,8 @@
 //!   Two spellings of the same question collide; any data update orphans
 //!   every stale answer.
 //! - **L1** ([`l1::LruTtlStore`]): bounded in-memory LRU with TTLs in
-//!   *virtual* time, guarded by a seeded TinyLFU-style
+//!   *virtual* time, holding each result as its compact JSON body (the
+//!   bytes a client receives), guarded by a seeded TinyLFU-style
 //!   [`FrequencySketch`] so one-off queries cannot evict what a crowd is
 //!   hammering.
 //! - **L2** ([`BlobBackend`] spill through `evop-xcloud`'s blob store):
@@ -40,7 +41,7 @@ pub mod sketch;
 pub mod wps;
 
 pub use coalesce::{Coalescer, Flight, Submission};
-pub use key::{canonical_json, CacheKey};
+pub use key::CacheKey;
 pub use plane::{
     hit_ratio_slo, BlobBackend, CacheConfig, CachePolicy, CacheStats, Hit, ResultCache, Tier,
 };

@@ -8,19 +8,22 @@
 //! fault-injecting wrapper — the cache cannot tell and must not care).
 //! Every L2 read is integrity-checked against the content hash remembered
 //! at spill time; a corrupt or unavailable object is *never* served, it
-//! is a miss. Counters and the age-at-hit histogram go to `evop-obs`, and
+//! is a miss. Both tiers hold a result as its compact JSON body, the bytes
+//! a client receives, so neither a hit nor a promotion re-encodes it.
+//! Counters and the age-at-hit histogram go to `evop-obs`, and
 //! [`hit_ratio_slo`] turns them into a burn-rate-judged objective.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
+use bytes::Bytes;
 use evop_obs::{AlertSeverity, MetricsRegistry, Selector, SloSpec};
 use evop_sim::{SimDuration, SimTime};
 use evop_xcloud::{Blob, BlobStore, BlobStoreError};
 use serde_json::{json, Value};
 
-use crate::key::{canonical_json, CacheKey};
+use crate::key::CacheKey;
 use crate::l1::LruTtlStore;
 use crate::sketch::FrequencySketch;
 
@@ -129,7 +132,7 @@ pub struct CacheConfig {
     pub seed: u64,
     /// L2 container name.
     pub l2_container: String,
-    /// Results whose canonical JSON is at least this long spill to L2.
+    /// Results whose JSON body is at least this long spill to L2.
     pub l2_spill_bytes: usize,
 }
 
@@ -165,11 +168,11 @@ impl Tier {
     }
 }
 
-/// A successful lookup: the cached value, its age, and the serving tier.
+/// A successful lookup: the cached body, its age, and the serving tier.
 #[derive(Debug, Clone)]
 pub struct Hit {
-    /// The cached result.
-    pub value: Value,
+    /// The cached result as compact JSON, shared with the cache.
+    pub body: Bytes,
     /// Virtual time since the result was stored.
     pub age: SimDuration,
     /// Which tier served it.
@@ -302,10 +305,10 @@ impl ResultCache {
             return None;
         }
         self.sketch.touch(key.fingerprint());
-        if let Some((value, age)) = self.l1.get(now, key) {
+        if let Some((body, age)) = self.l1.get(now, key) {
             self.stats.l1_hits += 1;
             self.count_hit(Tier::L1, age);
-            return Some(Hit { value, age, tier: Tier::L1 });
+            return Some(Hit { body, age, tier: Tier::L1 });
         }
         if self.config.policy == CachePolicy::L1L2 {
             return self.lookup_l2(now, key);
@@ -332,13 +335,14 @@ impl ResultCache {
                     return None;
                 }
                 match serde_json::from_slice::<Value>(blob.data()) {
-                    Ok(value) => {
+                    Ok(_) => {
                         let age = now.saturating_since(entry.stored_at);
                         self.stats.l2_hits += 1;
                         self.count_hit(Tier::L2, age);
                         // Promote: the next ask should be an L1 hit.
-                        self.l1.insert(now, key.clone(), value.clone());
-                        Some(Hit { value, age, tier: Tier::L2 })
+                        let body = blob.data().clone();
+                        self.l1.insert(now, key.clone(), body.clone());
+                        Some(Hit { body, age, tier: Tier::L2 })
                     }
                     Err(_) => {
                         // Hash matched but the payload is not JSON: treat
@@ -389,18 +393,36 @@ impl ResultCache {
     /// Offers a computed result for caching. Returns `true` when the
     /// entry was admitted to L1. Large results also spill to L2 under an
     /// `L1L2` policy, keyed by content-hashed blob keys.
-    pub fn insert(&mut self, now: SimTime, key: CacheKey, value: &Value) -> bool {
+    ///
+    /// `render` produces the result's compact JSON body from its key. It
+    /// runs once when the entry is admitted to L1 or offered to L2, and
+    /// not at all when the admission gate refuses an L1-only insert.
+    pub fn insert(
+        &mut self,
+        now: SimTime,
+        key: CacheKey,
+        render: impl FnOnce(&CacheKey) -> Bytes,
+    ) -> bool {
         if self.config.policy == CachePolicy::Off {
             return false;
         }
-        let admitted = self.admit(now, &key, value);
-        if self.config.policy == CachePolicy::L1L2 {
-            self.spill(now, &key, value);
+        let admitted = self.admits(now, &key);
+        let spills = self.config.policy == CachePolicy::L1L2 && self.l2.is_some();
+        if !admitted && !spills {
+            return false;
+        }
+        let body = render(&key);
+        if spills {
+            self.spill(now, &key, &body);
+        }
+        if admitted {
+            self.l1.insert(now, key, body);
         }
         admitted
     }
 
-    fn admit(&mut self, now: SimTime, key: &CacheKey, value: &Value) -> bool {
+    /// The admission decision for `key`, counting a refusal.
+    fn admits(&mut self, now: SimTime, key: &CacheKey) -> bool {
         let full = self.l1.len() >= self.l1.capacity() && !self.l1.contains_fresh(now, key);
         if full {
             if let Some(victim) = self.l1.lru_key() {
@@ -418,19 +440,14 @@ impl ResultCache {
                 }
             }
         }
-        self.l1.insert(now, key.clone(), value.clone());
         true
     }
 
-    fn spill(&mut self, now: SimTime, key: &CacheKey, value: &Value) {
-        if self.l2.is_none() {
+    fn spill(&mut self, now: SimTime, key: &CacheKey, body: &Bytes) {
+        if body.len() < self.config.l2_spill_bytes {
             return;
         }
-        let rendered = canonical_json(value);
-        if rendered.len() < self.config.l2_spill_bytes {
-            return;
-        }
-        let blob = Blob::new(rendered.into_bytes(), "application/json");
+        let blob = Blob::new(body.clone(), "application/json");
         let content_hash = blob.content_hash();
         let container = self.config.l2_container.clone();
         let blob_key = key.blob_key();
@@ -523,6 +540,12 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    /// A render closure for `value`'s body.
+    fn encoded(value: &Value) -> impl FnOnce(&CacheKey) -> Bytes {
+        let body = Bytes::from(value.to_string());
+        move |_| body
+    }
+
     fn l1_cache(capacity: usize) -> ResultCache {
         ResultCache::new(CacheConfig {
             l1_capacity: capacity,
@@ -535,7 +558,7 @@ mod tests {
     fn off_policy_never_stores_or_serves() {
         let mut cache =
             ResultCache::new(CacheConfig { policy: CachePolicy::Off, ..CacheConfig::default() });
-        assert!(!cache.insert(t(0), key(1), &json!(1)));
+        assert!(!cache.insert(t(0), key(1), |_| unreachable!("off never renders")));
         assert!(cache.lookup(t(1), &key(1)).is_none());
         assert_eq!(cache.stats(), CacheStats::default());
     }
@@ -545,9 +568,9 @@ mod tests {
         let mut cache = l1_cache(4);
         let metrics = MetricsRegistry::new();
         cache.set_metrics(metrics.clone());
-        cache.insert(t(0), key(1), &json!({"q": 7}));
+        cache.insert(t(0), key(1), encoded(&json!({"q": 7})));
         let hit = cache.lookup(t(30), &key(1)).expect("hit");
-        assert_eq!(hit.value, json!({"q": 7}));
+        assert_eq!(hit.body, br#"{"q":7}"#[..]);
         assert_eq!(hit.tier, Tier::L1);
         assert_eq!(hit.age, SimDuration::from_secs(30));
         assert_eq!(metrics.counter("cache_requests_total", &[("outcome", "hit")]), 1);
@@ -563,10 +586,10 @@ mod tests {
             cache.lookup(t(0), &key(1));
             cache.lookup(t(0), &key(2));
         }
-        cache.insert(t(1), key(1), &json!(1));
-        cache.insert(t(1), key(2), &json!(2));
+        cache.insert(t(1), key(1), encoded(&json!(1)));
+        cache.insert(t(1), key(2), encoded(&json!(2)));
         // A drive-by insert must be rejected, leaving the hot pair alone.
-        assert!(!cache.insert(t(2), key(99), &json!(99)));
+        assert!(!cache.insert(t(2), key(99), encoded(&json!(99))));
         assert!(cache.lookup(t(3), &key(1)).is_some());
         assert!(cache.lookup(t(3), &key(2)).is_some());
         assert!(cache.lookup(t(3), &key(99)).is_none());
@@ -576,13 +599,13 @@ mod tests {
     #[test]
     fn repeatedly_requested_newcomer_displaces_cold_victim() {
         let mut cache = l1_cache(2);
-        cache.insert(t(0), key(1), &json!(1));
-        cache.insert(t(0), key(2), &json!(2));
+        cache.insert(t(0), key(1), encoded(&json!(1)));
+        cache.insert(t(0), key(2), encoded(&json!(2)));
         // Key 3 becomes demonstrably hotter than the LRU victim.
         for _ in 0..5 {
             cache.lookup(t(1), &key(3));
         }
-        assert!(cache.insert(t(2), key(3), &json!(3)));
+        assert!(cache.insert(t(2), key(3), encoded(&json!(3))));
         assert!(cache.lookup(t(3), &key(3)).is_some());
     }
 
@@ -596,16 +619,17 @@ mod tests {
             ..CacheConfig::default()
         })
         .with_l2(Box::new(BlobStore::new()));
-        cache.insert(t(0), key(1), &big);
+        cache.insert(t(0), key(1), encoded(&big));
         assert_eq!(cache.l2_len(), 1);
         // Simulate L1 loss (e.g. restart): the entry must come back from
         // L2 and be promoted.
         cache.l1.remove(&key(1));
         let hit = cache.lookup(t(10), &key(1)).expect("l2 hit");
         assert_eq!(hit.tier, Tier::L2);
-        assert_eq!(hit.value, big);
+        assert_eq!(hit.body, big.to_string().as_bytes(), "the spilled bytes, as rendered");
         let hit2 = cache.lookup(t(11), &key(1)).expect("promoted");
         assert_eq!(hit2.tier, Tier::L1);
+        assert_eq!(hit2.body, hit.body);
     }
 
     #[test]
@@ -619,7 +643,7 @@ mod tests {
             ..CacheConfig::default()
         })
         .with_l2(Box::new(store));
-        cache.insert(t(0), key(1), &big);
+        cache.insert(t(0), key(1), encoded(&big));
         cache.l1.remove(&key(1));
         // Overwrite the blob behind the cache's back.
         if let Some(backend) = cache.l2.as_mut() {
@@ -634,10 +658,52 @@ mod tests {
     }
 
     #[test]
+    fn insert_renders_only_what_a_tier_keeps() {
+        let renders = std::cell::Cell::new(0);
+        let render = |key: &CacheKey| {
+            renders.set(renders.get() + 1);
+            Bytes::from(json!(key.render()).to_string())
+        };
+        // L1 only: the admitted pair renders once each; the refused
+        // drive-by never renders, and is still counted as refused.
+        let mut cache = l1_cache(2);
+        for _ in 0..3 {
+            cache.lookup(t(0), &key(1));
+            cache.lookup(t(0), &key(2));
+        }
+        assert!(cache.insert(t(1), key(1), render));
+        assert!(cache.insert(t(1), key(2), render));
+        assert_eq!(renders.get(), 2);
+        assert!(!cache.insert(t(2), key(99), render));
+        assert_eq!(renders.get(), 2, "a refused L1-only insert never renders");
+        assert_eq!(cache.stats().admission_rejected, 1);
+
+        // L1 + L2: a refused insert is still offered to L2, so it renders
+        // once; an admitted one renders once for both tiers.
+        let mut cache = ResultCache::new(CacheConfig {
+            policy: CachePolicy::L1L2,
+            l1_capacity: 1,
+            l2_spill_bytes: 1,
+            ..CacheConfig::default()
+        })
+        .with_l2(Box::new(BlobStore::new()));
+        renders.set(0);
+        cache.lookup(t(0), &key(1));
+        assert!(cache.insert(t(1), key(1), render));
+        assert_eq!(renders.get(), 1);
+        assert!(!cache.insert(t(2), key(2), render));
+        assert_eq!(renders.get(), 2);
+        assert_eq!(cache.stats().admission_rejected, 1);
+        assert_eq!(cache.l2_len(), 2);
+        let spilled = cache.lookup(t(3), &key(2)).expect("served from L2");
+        assert_eq!(spilled.body, json!(key(2).render()).to_string().as_bytes());
+    }
+
+    #[test]
     fn catalog_version_bump_invalidates_stale_entries() {
         let mut cache = l1_cache(8);
-        cache.insert(t(0), CacheKey::new("p", "c", 1, &json!({})), &json!(1));
-        cache.insert(t(0), CacheKey::new("p", "c", 2, &json!({})), &json!(2));
+        cache.insert(t(0), CacheKey::new("p", "c", 1, &json!({})), encoded(&json!(1)));
+        cache.insert(t(0), CacheKey::new("p", "c", 2, &json!({})), encoded(&json!(2)));
         assert_eq!(cache.invalidate_stale_versions(2), 1);
         assert!(cache.lookup(t(1), &CacheKey::new("p", "c", 1, &json!({}))).is_none());
         assert!(cache.lookup(t(1), &CacheKey::new("p", "c", 2, &json!({}))).is_some());

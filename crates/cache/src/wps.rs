@@ -9,10 +9,11 @@
 //! because the WPS server has neither a clock nor a catalogue: the
 //! observatory wiring advances the clock alongside the broker and bumps
 //! the version when the catalogue changes. REST callers stay untouched —
-//! a hit is just a fast execute.
+//! a hit is just a fast execute that hands back the stored body.
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use evop_services::wps::WpsCache;
 use evop_sim::SimTime;
 use parking_lot::Mutex;
@@ -95,21 +96,16 @@ impl WpsResultCache {
     }
 
     fn key(&self, process: &str, inputs: &Map<String, Value>) -> CacheKey {
-        CacheKey::new(
-            process,
-            &self.catchment,
-            self.version.current(),
-            &Value::Object(inputs.clone()),
-        )
+        CacheKey::new(process, &self.catchment, self.version.current(), inputs)
     }
 }
 
 impl WpsCache for WpsResultCache {
-    fn lookup(&self, process: &str, inputs: &Map<String, Value>) -> Option<Value> {
+    fn lookup(&self, process: &str, inputs: &Map<String, Value>) -> Option<Bytes> {
         let key = self.key(process, inputs);
         let mut plane = self.plane.lock();
         match plane.lookup(self.clock.now(), &key) {
-            Some(hit) => Some(hit.value),
+            Some(hit) => Some(hit.body),
             None => {
                 // No coalescer sits on this path: a miss here goes
                 // straight to a real execution, so classify it now.
@@ -119,9 +115,9 @@ impl WpsCache for WpsResultCache {
         }
     }
 
-    fn store(&self, process: &str, inputs: &Map<String, Value>, result: &Value) {
+    fn store(&self, process: &str, inputs: &Map<String, Value>, body: &Bytes) {
         let key = self.key(process, inputs);
-        self.plane.lock().insert(self.clock.now(), key, result);
+        self.plane.lock().insert(self.clock.now(), key, |_| body.clone());
     }
 }
 
@@ -169,8 +165,10 @@ mod tests {
             "eden",
         )));
 
-        assert_eq!(server.execute("double", json!({"x": 21.0})).expect("runs")["y"], 42.0);
-        assert_eq!(server.execute("double", json!({"x": 21.0})).expect("cached")["y"], 42.0);
+        let miss = server.execute("double", json!({"x": 21.0})).expect("runs");
+        assert_eq!(miss["y"], 42.0);
+        let hit = server.execute("double", json!({"x": 21.0})).expect("cached");
+        assert_eq!(hit, miss, "a hit decodes to the value the miss returned");
         let stats = plane.lock().stats();
         assert_eq!(stats.l1_hits, 1);
         assert_eq!(stats.misses, 1);

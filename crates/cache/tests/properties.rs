@@ -17,12 +17,13 @@
 
 use std::collections::BTreeMap;
 
+use bytes::Bytes;
 use evop_cache::key::fnv1a;
 use evop_cache::l1::LruTtlStore;
 use evop_cache::{CacheConfig, CacheKey, CachePolicy, ResultCache};
 use evop_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
-use serde_json::{json, Value};
+use serde_json::json;
 
 fn key(n: u64) -> CacheKey {
     CacheKey::new("topmodel", "eden", 1, &json!({ "n": n }))
@@ -55,7 +56,7 @@ fn run_workload(
         let now = SimTime::from_secs(now_secs);
         let key = key(k);
         if insert == 1 {
-            decisions.push(cache.insert(now, key, &json!({ "k": k })));
+            decisions.push(cache.insert(now, key, |_| json!({ "k": k }).to_string().into()));
         } else {
             cache.lookup(now, &key);
         }
@@ -69,8 +70,8 @@ struct NaiveLru {
     capacity: usize,
     ttl: SimDuration,
     tick: u64,
-    /// key -> (value, stored_at, last_touch)
-    entries: BTreeMap<CacheKey, (Value, SimTime, u64)>,
+    /// key -> (body, stored_at, last_touch)
+    entries: BTreeMap<CacheKey, (Bytes, SimTime, u64)>,
 }
 
 impl NaiveLru {
@@ -82,7 +83,7 @@ impl NaiveLru {
         self.entries.iter().min_by_key(|(_, e)| e.2).map(|(k, _)| k)
     }
 
-    fn get(&mut self, now: SimTime, key: &CacheKey) -> Option<(Value, SimDuration)> {
+    fn get(&mut self, now: SimTime, key: &CacheKey) -> Option<(Bytes, SimDuration)> {
         let stored_at = self.entries.get(key)?.1;
         if expired(stored_at, self.ttl, now) {
             self.entries.remove(key);
@@ -94,7 +95,7 @@ impl NaiveLru {
         Some((entry.0.clone(), now.saturating_since(stored_at)))
     }
 
-    fn insert(&mut self, now: SimTime, key: CacheKey, value: Value) -> Option<CacheKey> {
+    fn insert(&mut self, now: SimTime, key: CacheKey, value: Bytes) -> Option<CacheKey> {
         self.tick += 1;
         if let Some(entry) = self.entries.get_mut(&key) {
             *entry = (value, now, self.tick);
@@ -158,7 +159,7 @@ proptest! {
                 // Gets and inserts dominate, as in serving.
                 0..=2 => prop_assert_eq!(store.get(now, &key), naive.get(now, &key)),
                 3..=5 => {
-                    let value = json!({ "step": step });
+                    let value = Bytes::from(json!({ "step": step }).to_string());
                     prop_assert_eq!(
                         store.insert(now, key.clone(), value.clone()),
                         naive.insert(now, key, value),
@@ -219,7 +220,7 @@ proptest! {
             now_secs = now_secs.max(at);
             let now = SimTime::from_secs(now_secs);
             if insert == 1 {
-                cache.insert(now, key(k), &json!({ "k": k }));
+                cache.insert(now, key(k), |_| json!({ "k": k }).to_string().into());
             } else {
                 cache.lookup(now, &key(k));
             }
@@ -248,7 +249,7 @@ proptest! {
             ttl: SimDuration::from_secs(ttl_secs),
             ..CacheConfig::default()
         });
-        cache.insert(SimTime::from_secs(stored_at), key(1), &json!(1));
+        cache.insert(SimTime::from_secs(stored_at), key(1), |_| "1".into());
         let (early, late) = (probe_a.min(probe_b), probe_a.max(probe_b));
         // Probe in time order on the same store: a miss at `early`
         // (expired) must imply a miss at `late`. The early probe may

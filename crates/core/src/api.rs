@@ -274,9 +274,10 @@ pub fn portal_api(evop: Arc<Evop>) -> Router {
             };
             // The router stamped its span context onto the request; the
             // WPS execution parents under it, keeping the whole request
-            // on one trace.
-            match wps.execute_traced(process, inputs, req.trace_context().as_ref()) {
-                Ok(outputs) => Response::ok().json(&outputs),
+            // on one trace. The body goes out exactly as the WPS encoded
+            // or cached it.
+            match wps.execute_body(process, inputs, req.trace_context().as_ref()) {
+                Ok(body) => Response::ok().header("content-type", "application/json").body(body),
                 Err(WpsError::UnknownProcess(p)) => {
                     Response::not_found(format!("unknown process: {p}"))
                 }
@@ -528,6 +529,28 @@ mod tests {
             &Request::post("/catchments/morland/processes/swat/execute").json(&json!({})),
         );
         assert_eq!(missing.status(), StatusCode::NOT_FOUND);
+    }
+
+    #[test]
+    fn cached_execute_sends_the_body_of_the_miss_before_it() {
+        let evop = Arc::new(
+            Evop::builder().seed(5).days(5).cache_policy(evop_cache::CachePolicy::L1).build(),
+        );
+        let router = portal_api(Arc::clone(&evop));
+        let inputs = json!({"scenario": "compacted-soils"});
+        let request = Request::post("/catchments/morland/processes/topmodel/execute").json(&inputs);
+        let miss = router.dispatch(&request);
+        let hit = router.dispatch(&request);
+        let stats = evop.cache_stats().expect("cache on");
+        assert_eq!((stats.misses, stats.l1_hits), (1, 1));
+        assert!(hit.status().is_success());
+        assert_eq!(hit.header_value("content-type"), Some("application/json"));
+        assert_eq!(hit.body_bytes(), miss.body_bytes(), "a hit is the stored body");
+
+        // The body is the compact encoding of what the Value API returns.
+        let wps = evop.wps(&CatchmentId::new("morland")).expect("WPS endpoint");
+        let value = wps.execute("topmodel", inputs).expect("runs");
+        assert_eq!(miss.body_bytes().as_slice(), serde_json::to_vec(&value).unwrap().as_slice());
     }
 
     #[test]

@@ -282,7 +282,7 @@ impl Response {
     /// Sets a plain-text body.
     pub fn text(self, body: impl Into<String>) -> Response {
         let body: String = body.into();
-        self.header("content-type", "text/plain").body_from(body.into_bytes())
+        self.header("content-type", "text/plain").body(body.into_bytes())
     }
 
     /// Sets a JSON body and content type.
@@ -293,7 +293,7 @@ impl Response {
     /// process serving every other session.
     pub fn json<T: Serialize>(self, value: &T) -> Response {
         match serde_json::to_vec(value) {
-            Ok(bytes) => self.header("content-type", "application/json").body_from(bytes),
+            Ok(bytes) => self.header("content-type", "application/json").body(bytes),
             Err(e) => Response::internal_error(format!("response serialisation failed: {e}")),
         }
     }
@@ -301,11 +301,13 @@ impl Response {
     /// Sets an XML body and content type.
     pub fn xml(self, body: impl Into<String>) -> Response {
         let body: String = body.into();
-        self.header("content-type", "application/xml").body_from(body.into_bytes())
+        self.header("content-type", "application/xml").body(body.into_bytes())
     }
 
-    fn body_from(mut self, body: Vec<u8>) -> Response {
-        self.body = Bytes::from(body);
+    /// Sets a raw body, shared rather than copied when it is already
+    /// [`Bytes`].
+    pub fn body(mut self, body: impl Into<Bytes>) -> Response {
+        self.body = body.into();
         self
     }
 

@@ -11,27 +11,31 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use evop_obs::{MetricsRegistry, TraceContext, Tracer};
 use parking_lot::Mutex;
 use serde_json::{Map, Value};
 
 use crate::xml::Element;
 
-/// A pluggable result cache consulted by [`WpsServer::execute`] after input
-/// validation and fed on successful execution.
+/// A pluggable result cache consulted by [`WpsServer::execute_body`] after
+/// input validation and fed on successful execution.
 ///
 /// The server itself knows nothing about keys, tiers, TTLs or admission —
 /// it hands the cache the validated inputs (canonical: defaults filled in,
-/// ranges checked) and either serves the returned value or stores the fresh
-/// one. `evop-cache` supplies the real two-tier implementation; tests can
-/// plug in anything. Implementations count their own hit/miss metrics.
+/// ranges checked) and either serves the returned body or stores the fresh
+/// one. Results travel as their compact JSON bytes, so a hit is served
+/// without decoding or re-encoding anything. `evop-cache` supplies the
+/// real two-tier implementation; tests can plug in anything.
+/// Implementations count their own hit/miss metrics.
 pub trait WpsCache: Send + Sync {
-    /// A cached result for `process` run with `inputs`, if one is fresh.
-    fn lookup(&self, process: &str, inputs: &Map<String, Value>) -> Option<Value>;
+    /// The cached JSON body for `process` run with `inputs`, if one is
+    /// fresh.
+    fn lookup(&self, process: &str, inputs: &Map<String, Value>) -> Option<Bytes>;
 
-    /// Offers a freshly computed `result` for caching. Implementations are
-    /// free to reject it (admission control).
-    fn store(&self, process: &str, inputs: &Map<String, Value>, result: &Value);
+    /// Offers a freshly encoded result `body` for caching. Implementations
+    /// are free to reject it (admission control).
+    fn store(&self, process: &str, inputs: &Map<String, Value>, body: &Bytes);
 }
 
 /// The type and constraints of one process parameter.
@@ -255,8 +259,8 @@ impl WpsServer {
         self.metrics = Some(metrics);
     }
 
-    /// Attaches a result cache: [`WpsServer::execute`] consults it after
-    /// validation and feeds it on success. Callers of `execute` are
+    /// Attaches a result cache: [`WpsServer::execute_body`] consults it
+    /// after validation and feeds it on success. Callers of `execute` are
     /// untouched — a hit simply returns faster.
     pub fn set_cache(&mut self, cache: Arc<dyn WpsCache>) {
         self.cache = Some(cache);
@@ -342,7 +346,28 @@ impl WpsServer {
         self.execute_traced(id, inputs, None)
     }
 
-    /// [`WpsServer::execute`] joined to a caller's trace context.
+    /// [`WpsServer::execute`] joined to a caller's trace context: the
+    /// body [`WpsServer::execute_body`] returns, decoded.
+    ///
+    /// # Errors
+    ///
+    /// As for [`WpsServer::execute`], plus [`WpsError::ExecutionFailed`]
+    /// when the body is not JSON.
+    pub fn execute_traced(
+        &self,
+        id: &str,
+        inputs: Value,
+        ctx: Option<&TraceContext>,
+    ) -> Result<Value, WpsError> {
+        let body = self.execute_body(id, inputs, ctx)?;
+        serde_json::from_slice(&body)
+            .map_err(|e| WpsError::ExecutionFailed(format!("result is not JSON: {e}")))
+    }
+
+    /// The one execute path: validates, consults the cache, runs the
+    /// process on a miss and returns the result as compact JSON bytes —
+    /// the body a REST client receives. A cache hit is those bytes as
+    /// stored; a miss encodes once and caches the same bytes.
     ///
     /// When a tracer is attached, the execution is recorded as a
     /// `wps.execute {id}` span — a child of `ctx` when given, or a fresh
@@ -351,12 +376,12 @@ impl WpsServer {
     /// # Errors
     ///
     /// As for [`WpsServer::execute`].
-    pub fn execute_traced(
+    pub fn execute_body(
         &self,
         id: &str,
         inputs: Value,
         ctx: Option<&TraceContext>,
-    ) -> Result<Value, WpsError> {
+    ) -> Result<Bytes, WpsError> {
         let span = self.tracer.as_ref().map(|tracer| {
             let name = format!("wps.execute {id}");
             match ctx {
@@ -383,22 +408,25 @@ impl WpsServer {
         result
     }
 
-    fn execute_inner(&self, id: &str, inputs: Value) -> Result<Value, WpsError> {
+    fn execute_inner(&self, id: &str, inputs: Value) -> Result<Bytes, WpsError> {
         let process =
             self.processes.get(id).ok_or_else(|| WpsError::UnknownProcess(id.to_owned()))?;
         let validated = validate_inputs(&process.descriptor(), inputs)?;
         // Cache lookup happens on *validated* inputs so `{}` and an
         // explicit spelling of every default hit the same entry.
         if let Some(cache) = &self.cache {
-            if let Some(value) = cache.lookup(id, &validated) {
-                return Ok(value);
+            if let Some(body) = cache.lookup(id, &validated) {
+                return Ok(body);
             }
         }
         let result = process.execute(&validated).map_err(WpsError::ExecutionFailed)?;
+        let body = serde_json::to_vec(&result)
+            .map_err(|e| WpsError::ExecutionFailed(format!("result does not encode: {e}")))?;
+        let body = Bytes::from(body);
         if let Some(cache) = &self.cache {
-            cache.store(id, &validated, &result);
+            cache.store(id, &validated, &body);
         }
-        Ok(result)
+        Ok(body)
     }
 
     /// Asynchronous Execute: validates and enqueues, returning a status id

@@ -25,12 +25,13 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
+use bytes::Bytes;
 use evop_broker::{Broker, BrokerConfig, BrokerError, SessionId};
 use evop_cache::{CacheConfig, CacheKey, CacheStats, Coalescer, Hit, ResultCache, Submission};
 use evop_cloud::{InstanceId, JobId, JobState};
 use evop_obs::{MetricsRegistry, Tracer};
 use evop_sim::{SimDuration, SimTime};
-use serde_json::{json, Value};
+use serde_json::json;
 
 use crate::balance::{ConsistentHashBalancer, FirstFitBalancer, LoadBalancer, RoundRobinBalancer};
 use crate::ring::{splitmix64, user_key, DEFAULT_VNODES};
@@ -287,15 +288,17 @@ struct FlightMeta {
     front_ends: BTreeSet<usize>,
 }
 
-/// The deterministic stand-in result a completed flight publishes into
-/// the shared cache. Public so differential drivers insert the same
-/// bytes the federation would.
+/// The deterministic stand-in body a completed flight publishes into
+/// the shared cache. It is passed to [`ResultCache::insert`] as the
+/// render, so it is built only when the cache keeps it. Public so
+/// differential drivers insert the same bytes the federation would.
 #[must_use]
-pub fn synthetic_result(key: &CacheKey) -> Value {
-    json!({
+pub fn synthetic_result(key: &CacheKey) -> Bytes {
+    let result = json!({
         "key": key.render(),
         "fingerprint": format!("{:016x}", key.fingerprint()),
-    })
+    });
+    Bytes::from(result.to_string())
 }
 
 /// The sharded serving plane.
@@ -875,12 +878,11 @@ impl Federation {
             match finished {
                 Some(()) => {
                     let Some(meta) = self.flights.remove(&fingerprint) else { continue };
-                    let result = synthetic_result(&meta.key);
                     let _flight = self.coalescer.complete(&meta.key);
                     if meta.front_ends.len() > 1 {
                         self.cross_front_end_flights += 1;
                     }
-                    self.cache.insert(now, meta.key, &result);
+                    self.cache.insert(now, meta.key, synthetic_result);
                     self.flights_completed += 1;
                     self.metrics
                         .inc_counter("federation_flights_total", &[("outcome", "completed")]);

@@ -288,9 +288,8 @@ impl Direct {
                 );
                 if finished {
                     let Some(meta) = self.flights.remove(&fingerprint) else { continue };
-                    let result = synthetic_result(&meta.key);
                     let _flight = self.coalescer.complete(&meta.key);
-                    self.cache.insert(now, meta.key, &result);
+                    self.cache.insert(now, meta.key, synthetic_result);
                     self.completed += 1;
                 } else if now >= meta.submitted_at + meta.work + timeout {
                     let Some(meta) = self.flights.remove(&fingerprint) else { continue };

@@ -13,8 +13,9 @@ use evop_sim::{SimDuration, SimTime};
 use evop_xcloud::BlobStore;
 use serde_json::json;
 
-fn big_result() -> serde_json::Value {
-    json!({ "series": (0..200).collect::<Vec<u32>>() })
+/// A result body well over the spill threshold.
+fn big_result() -> String {
+    json!({ "series": (0..200).collect::<Vec<u32>>() }).to_string()
 }
 
 fn l1l2_cache(backend: Box<dyn BlobBackend>) -> ResultCache {
@@ -36,7 +37,7 @@ fn evict_from_l1(cache: &mut ResultCache, at: SimTime) {
         for _ in 0..3 {
             cache.lookup(at, &filler);
         }
-        cache.insert(at, filler, &json!(0));
+        cache.insert(at, filler, |_| "0".into());
     }
 }
 
@@ -51,7 +52,7 @@ fn chaos_corruption_window_turns_l2_hits_into_misses() {
     let mut cache = l1l2_cache(Box::new(chaos));
     let key = CacheKey::new("topmodel", "eden", 1, &json!({ "hours": 24 }));
 
-    cache.insert(SimTime::from_secs(0), key.clone(), &big_result());
+    cache.insert(SimTime::from_secs(0), key.clone(), |_| big_result().into());
     assert_eq!(cache.l2_len(), 1);
     // Push the key out of L1 so the lookup must go to L2.
     evict_from_l1(&mut cache, SimTime::from_secs(1));
@@ -74,7 +75,7 @@ fn chaos_outage_invalidates_the_l2_index_then_recovers() {
     let mut cache = l1l2_cache(Box::new(chaos));
     let key = CacheKey::new("topmodel", "eden", 1, &json!({ "hours": 24 }));
 
-    cache.insert(SimTime::from_secs(0), key.clone(), &big_result());
+    cache.insert(SimTime::from_secs(0), key.clone(), |_| big_result().into());
     evict_from_l1(&mut cache, SimTime::from_secs(1));
 
     // During the outage nothing in L2 can be verified: the index drops.
@@ -87,7 +88,7 @@ fn chaos_outage_invalidates_the_l2_index_then_recovers() {
     // so the admission gate keeps the re-insert out of L1 and the hit
     // must come from the blob tier.
     assert!(cache.lookup(SimTime::from_secs(500), &key).is_none());
-    cache.insert(SimTime::from_secs(500), key.clone(), &big_result());
+    cache.insert(SimTime::from_secs(500), key.clone(), |_| big_result().into());
     let hit = cache.lookup(SimTime::from_secs(502), &key).expect("post-outage L2 hit");
     assert_eq!(hit.tier, Tier::L2);
 }
